@@ -9,11 +9,12 @@ bitmaps, and filter artifacts be *patched* instead of rebuilt.
 
 :func:`apply_delta` produces a new frozen
 :class:`~repro.graph.graph.Graph` without re-deriving any untouched CSR
-row: adjacency rows, neighbor frozensets, and NLF tables of vertices
-not incident to an edited edge are shared (the same objects) with the
-source graph.  The returned :class:`DeltaSummary` records exactly what
-was touched — vertices, labels, NLF rows — and is the contract every
-downstream maintainer patches against
+row: the flat neighbor array is spliced around the touched rows, and
+the neighbor frozensets, NLF tables, and ``.graph`` text chunks of
+vertices not incident to an edited edge are shared (the same objects)
+with the source graph.  The returned :class:`DeltaSummary` records
+exactly what was touched — vertices, labels, NLF rows — and is the
+contract every downstream maintainer patches against
 (:meth:`repro.filtering.artifacts.DataArtifacts.apply_delta`,
 :class:`repro.dynamic.continuous.ContinuousMatcher`, the service
 catalog's ``update``).
@@ -37,6 +38,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple, Union
 
 from repro.graph.graph import Graph
+from repro.graph.io import patch_text_chunks
 from repro.utils.words import pack_indices as mask_of
 
 PathLike = Union[str, Path]
@@ -179,12 +181,14 @@ class DeltaSummary:
 def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
     """Apply ``delta`` to ``graph``; returns the new graph and summary.
 
-    The new graph is frozen and independent, but shares every untouched
-    per-vertex structure with the source: adjacency row tuples, neighbor
-    frozensets, and (when the source had them materialized) NLF table
-    rows are reused by reference, so the cost is proportional to the
-    delta plus the vertex count (two flat-array splices), not to the
-    edge count.
+    The new graph is frozen and independent, but only the touched
+    vertices' rows are re-derived: the flat neighbor array and the
+    offsets are spliced around them (:meth:`Graph._spliced`), while
+    untouched neighbor frozensets, the label index (when no vertex is
+    added), and — when the source has them materialized — NLF table
+    rows and ``.graph`` text chunks are reused by reference.  So the
+    Python-level work is proportional to the delta plus the vertex
+    count; only the C-level array copies see the edge count.
     """
     delta.validate(graph)
     n_old = graph.num_vertices
@@ -204,22 +208,12 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
     )
     labels = graph.labels + tuple(delta.add_vertices)
 
-    rows: List[Tuple[int, ...]] = []
-    neighbor_sets: List[FrozenSet[int]] = []
-    for v in range(n_old):
-        if v in added_at or v in removed_at:
-            nbrs = set(graph.neighbor_set(v))
-            nbrs.difference_update(removed_at.get(v, ()))
-            nbrs.update(added_at.get(v, ()))
-            rows.append(tuple(sorted(nbrs)))
-            neighbor_sets.append(frozenset(nbrs))
-        else:
-            rows.append(graph.neighbors(v))
-            neighbor_sets.append(graph.neighbor_set(v))
-    for v in range(n_old, n_new):
-        row = tuple(sorted(added_at.get(v, ())))
-        rows.append(row)
-        neighbor_sets.append(frozenset(row))
+    rows: Dict[int, Tuple[int, ...]] = {}
+    for v in touched:
+        nbrs = set(graph.neighbor_set(v)) if v < n_old else set()
+        nbrs.difference_update(removed_at.get(v, ()))
+        nbrs.update(added_at.get(v, ()))
+        rows[v] = tuple(sorted(nbrs))
 
     nlf = None
     if graph._nlf and n_old > 0:
@@ -235,7 +229,8 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[Graph, DeltaSummary]:
                 freq[lbl] = freq.get(lbl, 0) + 1
             nlf[v] = freq
 
-    new_graph = Graph._from_sorted_rows(labels, rows, neighbor_sets, nlf=nlf)
+    new_graph = Graph._spliced(graph, delta.add_vertices, rows, nlf=nlf)
+    patch_text_chunks(graph, new_graph, touched)
 
     summary = DeltaSummary(
         num_vertices_before=n_old,

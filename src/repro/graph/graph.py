@@ -61,6 +61,7 @@ class Graph:
         "_num_edges",
         "_nlf",
         "_checksum",
+        "_text",
     )
 
     def __init__(
@@ -107,44 +108,74 @@ class Graph:
         # Content checksum, computed lazily by repro.graph.io.graph_checksum
         # (instances are immutable, so one hash serves every caller).
         self._checksum: Optional[str] = None
+        # Per-vertex ``.graph`` text chunks, materialized lazily by
+        # repro.graph.io.saves_graph (``v`` lines, then ``e`` chunks).
+        self._text: Optional[Tuple[List[str], List[str]]] = None
 
     @classmethod
-    def _from_sorted_rows(
+    def _spliced(
         cls,
-        labels: Sequence[object],
-        rows: Sequence[Tuple[int, ...]],
-        neighbor_sets: Sequence[FrozenSet[int]],
+        source: "Graph",
+        added_labels: Sequence[object],
+        rows: Dict[int, Tuple[int, ...]],
         nlf: Optional[List[Dict[object, int]]] = None,
     ) -> "Graph":
-        """Assemble a graph from already-validated per-vertex rows.
+        """``source`` with the adjacency rows in ``rows`` replaced.
 
-        The delta-application path (:mod:`repro.dynamic.delta`) reuses
-        the untouched rows of an existing graph verbatim — ``rows[v]``
-        and ``neighbor_sets[v]`` may be the *same objects* as the source
-        graph's — so this constructor performs no per-row sorting,
-        deduplication, or loop checks.  Callers guarantee every row is
-        sorted, loop-free, and symmetric.  ``nlf``, when given, installs
-        a prebuilt neighbor-label-frequency cache (all rows or none).
+        The delta-application path (:mod:`repro.dynamic.delta`) hands
+        over only the touched vertices' new rows — already sorted,
+        loop-free, and symmetric with each other and with the untouched
+        rows, which this constructor does not re-check.  Vertices
+        ``n .. n + len(added_labels) - 1`` are appended (a missing row
+        means isolated).  The flat neighbor array and the offsets are
+        spliced around the touched vertices; untouched neighbor
+        frozensets are shared with ``source``, and so is the label index
+        when no vertex is added.  ``nlf``, when given, installs a
+        prebuilt neighbor-label-frequency cache (all rows or none).
         """
         graph = cls.__new__(cls)
-        graph._labels = tuple(labels)
-        offsets: List[int] = [0]
+        n_old = len(source._labels)
+        old_offsets = source._offsets
+        old_flat = source._neighbors_flat
+        offsets: List[int] = []
         flat: List[int] = []
-        for row in rows:
+        neighbor_sets = list(source._neighbor_sets)
+        shift = 0
+        start = 0
+        for v in sorted(rows):
+            if v >= n_old:
+                break
+            # Untouched vertices start .. v-1 (and v's own start) move
+            # by the size change of the touched rows before them.
+            block = old_offsets[start : v + 1]
+            offsets.extend(map(shift.__add__, block) if shift else block)
+            flat.extend(old_flat[old_offsets[start] : old_offsets[v]])
+            row = rows[v]
             flat.extend(row)
-            offsets.append(len(flat))
+            neighbor_sets[v] = frozenset(row)
+            shift += len(row) - (old_offsets[v + 1] - old_offsets[v])
+            start = v + 1
+        block = old_offsets[start:]
+        offsets.extend(map(shift.__add__, block) if shift else block)
+        flat.extend(old_flat[old_offsets[start] :])
+        label_index = source._label_index
+        if added_labels:
+            label_index = dict(label_index)
+            for v, label in enumerate(added_labels, start=n_old):
+                row = rows.get(v, ())
+                flat.extend(row)
+                offsets.append(len(flat))
+                neighbor_sets.append(frozenset(row))
+                label_index[label] = label_index.get(label, ()) + (v,)
+        graph._labels = source._labels + tuple(added_labels)
         graph._offsets = tuple(offsets)
         graph._neighbors_flat = tuple(flat)
         graph._neighbor_sets = tuple(neighbor_sets)
         graph._num_edges = len(flat) // 2
-        label_index: Dict[object, List[int]] = {}
-        for v, label in enumerate(graph._labels):
-            label_index.setdefault(label, []).append(v)
-        graph._label_index = {
-            label: tuple(vs) for label, vs in label_index.items()
-        }
+        graph._label_index = label_index
         graph._nlf = nlf if nlf is not None else []
         graph._checksum = None
+        graph._text = None
         return graph
 
     # ------------------------------------------------------------------
@@ -297,6 +328,13 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self._labels, self._offsets, self._neighbors_flat))
+
+    def __getstate__(self):
+        # The text chunks are a serialization cache, rebuilt on demand:
+        # procpool workers never need them, so they do not travel.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_text"] = None
+        return None, state
 
     def __repr__(self) -> str:
         return (

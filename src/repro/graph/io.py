@@ -18,7 +18,6 @@ as strings otherwise.
 from __future__ import annotations
 
 import hashlib
-import io as _io
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple, Union
 
@@ -118,21 +117,89 @@ def load_graph(path: PathLike, strict: bool = False) -> Graph:
         return loads_graph(handle.read(), strict=strict)
 
 
+def _vertex_text(graph: Graph, v: int) -> Tuple[str, str]:
+    """The one ``.graph`` line formatter: vertex ``v``'s ``v`` line and
+    its ``e`` chunk (one line per edge to a higher id, ascending)."""
+    return (
+        f"v {v} {graph.label(v)} {graph.degree(v)}\n",
+        "".join([f"e {v} {w}\n" for w in graph.neighbors(v) if w > v]),
+    )
+
+
+def text_chunks(graph: Graph) -> Tuple[List[str], List[str]]:
+    """Per-vertex ``v`` lines and ``e`` chunks of ``graph`` (read-only).
+
+    Formatted once per instance and cached on it; a delta-applied graph
+    inherits its source's chunks with only the touched vertices
+    re-formatted (:func:`patch_text_chunks`).
+    """
+    chunks = graph._text
+    if chunks is None:
+        vlines: List[str] = []
+        echunks: List[str] = []
+        for v in graph.vertices():
+            vline, echunk = _vertex_text(graph, v)
+            vlines.append(vline)
+            echunks.append(echunk)
+        chunks = graph._text = (vlines, echunks)
+    return chunks
+
+
+def patch_text_chunks(
+    source: Graph, graph: Graph, touched: Iterable[int]
+) -> None:
+    """Carry ``source``'s materialized text chunks over to ``graph``.
+
+    ``graph`` must differ from ``source`` only in the adjacency rows of
+    the ascending ``touched`` vertex ids, which may include appended
+    vertices.  A no-op when ``source`` has no chunks yet: ``graph`` then
+    formats its own on first :func:`saves_graph`.
+    """
+    if source._text is None:
+        return
+    vlines = list(source._text[0])
+    echunks = list(source._text[1])
+    n_old = len(vlines)
+    for v in touched:
+        vline, echunk = _vertex_text(graph, v)
+        if v < n_old:
+            vlines[v] = vline
+            echunks[v] = echunk
+        else:
+            vlines.append(vline)
+            echunks.append(echunk)
+    graph._text = (vlines, echunks)
+
+
 def saves_graph(graph: Graph) -> str:
-    """Serialize a graph to ``.graph``-format text."""
-    out = _io.StringIO()
-    out.write(f"t {graph.num_vertices} {graph.num_edges}\n")
-    for v in graph.vertices():
-        out.write(f"v {v} {graph.label(v)} {graph.degree(v)}\n")
-    for u, v in graph.edges():
-        out.write(f"e {u} {v}\n")
-    return out.getvalue()
+    """Serialize a graph to ``.graph``-format text.
+
+    Vertex lines in id order, then edge lines ``(u, v)`` with ``u < v``
+    in ``(u, v)`` order, joined from the cached :func:`text_chunks`.
+    """
+    vlines, echunks = text_chunks(graph)
+    return "".join(
+        [f"t {graph.num_vertices} {graph.num_edges}\n", *vlines, *echunks]
+    )
 
 
 def save_graph(graph: Graph, path: PathLike) -> None:
     """Write a graph to disk in ``.graph`` format."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(saves_graph(graph))
+
+
+def encode_graph(graph: Graph) -> Tuple[bytes, str]:
+    """The UTF-8 bytes of :func:`saves_graph` and their SHA-256.
+
+    The digest *is* :func:`graph_checksum` and is cached on ``graph`` as
+    such, so a caller that writes the text and records the checksum
+    serializes and hashes once.
+    """
+    blob = saves_graph(graph).encode("utf-8")
+    digest = hashlib.sha256(blob).hexdigest()
+    graph._checksum = digest
+    return blob, digest
 
 
 def graph_checksum(graph: Graph) -> str:
@@ -144,17 +211,14 @@ def graph_checksum(graph: Graph) -> str:
     stores this in each entry's sidecar to detect stale artifacts after
     the graph file changes.
 
-    Computed once per instance and cached on it (graphs are immutable),
-    so the service paths that hash the same graph repeatedly — catalog
-    ``add``/``info``, epoch metadata on ``update`` — re-serialize
-    nothing after the first call.
+    Computed once per instance and cached on it (graphs are immutable).
+    Callers that also need the text use :func:`encode_graph`, which
+    fills the same cache from the bytes it returns, so the catalog's
+    ``add`` and ``update`` serialize and hash each graph exactly once.
     """
     cached = graph._checksum
     if cached is None:
-        cached = hashlib.sha256(
-            saves_graph(graph).encode("utf-8")
-        ).hexdigest()
-        graph._checksum = cached
+        cached = encode_graph(graph)[1]
     return cached
 
 

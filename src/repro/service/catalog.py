@@ -54,7 +54,7 @@ import shutil
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.config import GuPConfig
 from repro.core.engine import GuPEngine
@@ -66,7 +66,7 @@ from repro.filtering.artifacts import (
     loads_artifacts,
 )
 from repro.graph.graph import Graph
-from repro.graph.io import graph_checksum, load_graph, loads_graph, saves_graph
+from repro.graph.io import encode_graph, graph_checksum, load_graph, loads_graph
 from repro.obs.explain import (
     ANALYZE_SIDECAR_MAX_RECORDS,
     ANALYZE_SIDECAR_VERSION,
@@ -156,6 +156,15 @@ def txn_points(op: str) -> Tuple[str, ...]:
     return tuple(points)
 
 
+class _StagedEntry(NamedTuple):
+    """One entry state rendered to bytes, each file hashed once: what a
+    journaled transaction writes, prepared without holding any lock."""
+
+    files: Dict[str, bytes]
+    digests: Dict[str, str]
+    meta: Dict[str, object]
+
+
 class GraphCatalog:
     """Named data graphs with persisted artifacts and warm engines.
 
@@ -226,7 +235,8 @@ class GraphCatalog:
         directory = self._entry_dir(name)
         if not isinstance(graph, Graph):
             graph = load_graph(graph)
-        checksum = graph_checksum(graph)
+        encoded = encode_graph(graph)
+        checksum = encoded[1]
         epoch = 1
         with self._lock:
             self._recover(directory)
@@ -248,17 +258,18 @@ class GraphCatalog:
                 except (TypeError, ValueError):
                     epoch = 2
                 self._resident.pop(name, None)
-        # Build outside the lock: artifacts construction can take seconds
-        # on a large graph and must not stall concurrent engine() calls.
-        # (Two racing adds of the same name both build; the later write
-        # wins — acceptable for a registration operation.)
-        graph_text = saves_graph(graph)
+        # Build and serialize outside the lock: artifacts construction
+        # can take seconds on a large graph and must not stall concurrent
+        # engine() calls.  (Two racing adds of the same name both build;
+        # the later write wins — acceptable for a registration operation.)
         artifacts = DataArtifacts(graph)
+        staged = self._stage_entry(
+            directory.name, graph, artifacts, epoch, encoded=encoded
+        )
         with self._lock:
             self.counters["artifact_builds"] += 1
             directory.mkdir(parents=True, exist_ok=True)
-            self._persist_entry(directory, graph, graph_text, artifacts,
-                                epoch=epoch)
+            self._commit_entry(directory, staged)
             self._install(name, GuPEngine(graph, self.config, artifacts=artifacts))
         return self.info(name)
 
@@ -314,29 +325,35 @@ class GraphCatalog:
         ``(info, summary)``.
 
         Updates serialize against each other on a dedicated mutex; the
-        catalog lock is held only to fetch the engine and to swap in
-        the new state, so the patch and the O(graph) serialization
-        never stall concurrent ``engine()`` calls (the same contract
-        :meth:`add` keeps for its artifact build).  Engines handed out
-        earlier keep serving the pre-update graph snapshot.  As with
-        two racing ``add`` calls, an ``add(overwrite=True)`` racing an
-        update of the same name resolves by last-write-wins.
+        catalog lock is held only to fetch the engine and to commit and
+        swap in the new state.  The delta apply, the artifact patch, the
+        graph text (patched per touched vertex), the artifact pickle,
+        the sidecar and every file's SHA-256 are all produced before
+        the lock is taken, so they never stall concurrent ``engine()``
+        calls (the same contract :meth:`add` keeps for its artifact
+        build); the lock covers the staged writes, fsyncs and renames.
+        Engines handed out earlier keep serving the pre-update graph
+        snapshot.  As with two racing ``add`` calls, an
+        ``add(overwrite=True)`` racing an update of the same name
+        resolves by last-write-wins, under a fresh epoch.
         """
         from repro.dynamic.delta import apply_delta
 
         with self._update_mutex:
+            directory = self._entry_dir(name)
             with self._lock:
                 engine = self.engine(name)  # raises CatalogError when unknown
+                epoch = self._next_epoch(directory)
             new_graph, summary = apply_delta(engine.data, delta)
             artifacts = engine.artifacts.apply_delta(new_graph, summary)
-            graph_text = saves_graph(new_graph)
+            staged = self._stage_entry(name, new_graph, artifacts, epoch)
             with self._lock:
-                directory = self._entry_dir(name)
-                meta = self._read_meta(directory) or {}
-                epoch = int(meta.get("epoch") or 1) + 1
-                self._persist_entry(
-                    directory, new_graph, graph_text, artifacts, epoch=epoch
-                )
+                current = self._next_epoch(directory)
+                if current != epoch:
+                    # Another writer moved the entry while we staged:
+                    # only the sidecar's epoch field changes.
+                    staged = self._restage_meta(staged, current)
+                self._commit_entry(directory, staged)
                 self.counters["artifact_patches"] += 1
                 self.counters["updates"] += 1
                 self._install(
@@ -545,9 +562,16 @@ class GraphCatalog:
     # -- transactions (DESIGN.md §10) ----------------------------------
 
     def _txn_commit(
-        self, directory: Path, files: Dict[str, bytes], epoch: int
+        self,
+        directory: Path,
+        files: Dict[str, bytes],
+        digests: Dict[str, str],
+        epoch: int,
     ) -> None:
         """Replace ``files`` in ``directory`` all-or-nothing.
+
+        ``digests`` holds the SHA-256 of every file in ``files``, taken
+        by the caller (:meth:`_stage_entry`) before any lock.
 
         Write ordering is the whole proof: (1) stage every new version
         as an fsynced ``*.tmp``; (2) make the journal — target epoch +
@@ -566,9 +590,7 @@ class GraphCatalog:
         journal = {
             "op": "write",
             "epoch": epoch,
-            "files": {
-                filename: _sha256(blob) for filename, blob in files.items()
-            },
+            "files": {filename: digests[filename] for filename in files},
         }
         _write_durable(
             directory / JOURNAL_FILE,
@@ -790,41 +812,73 @@ class GraphCatalog:
             return None
         return meta if isinstance(meta, dict) else None
 
-    def _persist_entry(
-        self,
-        directory: Path,
-        graph: Graph,
-        graph_text: str,
-        artifacts: DataArtifacts,
-        epoch: int = 1,
-        include_graph: bool = True,
-    ) -> None:
-        """Persist one entry state as a single journaled transaction.
+    def _next_epoch(self, directory: Path) -> int:
+        """The epoch an update of the entry in ``directory`` writes."""
+        meta = self._read_meta(directory) or {}
+        return int(meta.get("epoch") or 1) + 1
 
-        ``include_graph=False`` is the rebuild-on-load path: the graph
-        file on disk *is* the source being recovered from and must not
-        be rewritten.
+    def _stage_entry(
+        self,
+        name: str,
+        graph: Graph,
+        artifacts: DataArtifacts,
+        epoch: int,
+        encoded: Optional[Tuple[bytes, str]] = None,
+        disk_graph_sha256: Optional[str] = None,
+    ) -> _StagedEntry:
+        """Render one entry state to bytes, hashing each file once.
+
+        Pure computation (no I/O, no lock).  The graph file is the
+        canonical text — ``encoded`` when the caller already holds
+        :func:`encode_graph`'s result — whose SHA-256 is also the graph
+        checksum.  Passing ``disk_graph_sha256`` instead is the
+        rebuild-on-load path: the graph file on disk *is* the source
+        being recovered from, is not rewritten, and may differ from the
+        canonical text.
         """
+        files: Dict[str, bytes] = {}
+        digests: Dict[str, str] = {}
+        if disk_graph_sha256 is None:
+            graph_blob, checksum = encoded or encode_graph(graph)
+            files[GRAPH_FILE] = graph_blob
+            digests[GRAPH_FILE] = graph_file_sha256 = checksum
+        else:
+            checksum = graph_checksum(graph)
+            graph_file_sha256 = disk_graph_sha256
         blob = dumps_artifacts(artifacts)
+        files[ARTIFACTS_FILE] = blob
+        digests[ARTIFACTS_FILE] = _sha256(blob)
         meta = {
             "format_version": CATALOG_FORMAT_VERSION,
             "artifacts_format_version": ARTIFACTS_FORMAT_VERSION,
-            "name": directory.name,
+            "name": name,
             "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges,
             "epoch": epoch,
-            "graph_checksum": graph_checksum(graph),
-            "graph_file_sha256": _sha256(graph_text.encode("utf-8")),
-            "artifacts_sha256": _sha256(blob),
+            "graph_checksum": checksum,
+            "graph_file_sha256": graph_file_sha256,
+            "artifacts_sha256": digests[ARTIFACTS_FILE],
         }
-        files: Dict[str, bytes] = {}
-        if include_graph:
-            files[GRAPH_FILE] = graph_text.encode("utf-8")
-        files[ARTIFACTS_FILE] = blob
-        files[META_FILE] = (
-            json.dumps(meta, indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
-        self._txn_commit(directory, files, epoch)
+        return self._restage_meta(_StagedEntry(files, digests, meta), epoch)
+
+    @staticmethod
+    def _restage_meta(staged: _StagedEntry, epoch: int) -> _StagedEntry:
+        """``staged`` with its sidecar (re-)rendered at ``epoch``."""
+        meta = dict(staged.meta, epoch=epoch)
+        blob = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(
+            "utf-8"
+        )
+        return _StagedEntry(
+            {**staged.files, META_FILE: blob},
+            {**staged.digests, META_FILE: _sha256(blob)},
+            meta,
+        )
+
+    def _commit_entry(self, directory: Path, staged: _StagedEntry) -> None:
+        """Persist a staged entry state as one journaled transaction.
+        Call with ``self._lock`` held."""
+        epoch = int(staged.meta["epoch"])
+        self._txn_commit(directory, staged.files, staged.digests, epoch)
         self._epochs[directory.name] = epoch
 
     def _load(self, name: str) -> Tuple[Graph, DataArtifacts, bool]:
@@ -844,6 +898,7 @@ class GraphCatalog:
             raise CatalogError(f"catalog entry {name!r} graph is corrupt: {exc}")
 
         meta = self._read_meta(directory)
+        graph_file_sha256 = _sha256(graph_text.encode("utf-8"))
         blob: Optional[bytes] = None
         if (
             meta is not None
@@ -852,8 +907,7 @@ class GraphCatalog:
             # not corrupt: skip the blob entirely and rebuild cleanly
             # (loads_artifacts would reject its version anyway).
             and meta.get("artifacts_format_version") == ARTIFACTS_FORMAT_VERSION
-            and meta.get("graph_file_sha256")
-            == _sha256(graph_text.encode("utf-8"))
+            and meta.get("graph_file_sha256") == graph_file_sha256
         ):
             try:
                 candidate = (directory / ARTIFACTS_FILE).read_bytes()
@@ -887,9 +941,12 @@ class GraphCatalog:
                 epoch = max(1, int(meta.get("epoch") or 1))
             except (TypeError, ValueError):
                 epoch = 1
-        self._persist_entry(
-            directory, graph, graph_text, artifacts, epoch=epoch,
-            include_graph=False,
+        self._commit_entry(
+            directory,
+            self._stage_entry(
+                name, graph, artifacts, epoch,
+                disk_graph_sha256=graph_file_sha256,
+            ),
         )
         return graph, artifacts, True
 

@@ -11,10 +11,13 @@ the embedding diff of the update.
 """
 
 import json
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+import repro.service.catalog as catalog_module
 from repro.cli import main as cli_main
 from repro.core.engine import GuPEngine
 from repro.dynamic.delta import GraphDelta, apply_delta, saves_delta
@@ -37,6 +40,31 @@ def bipartite_world():
     ab_query = graph_from_adjacency(["A", "B"], [(0, 1)])
     cd_query = graph_from_adjacency(["C", "D"], [(0, 1)])
     return data, ab_query, cd_query
+
+
+@contextmanager
+def parked_update(monkeypatch, catalog, delta):
+    """Run ``catalog.update("g", delta)`` on a thread, parked inside its
+    first artifact pickle until the ``with`` block exits."""
+    parked = threading.Event()
+    release = threading.Event()
+    real_dumps = catalog_module.dumps_artifacts
+
+    def parked_dumps(artifacts):
+        if not parked.is_set():
+            parked.set()
+            release.wait(30)
+        return real_dumps(artifacts)
+
+    monkeypatch.setattr(catalog_module, "dumps_artifacts", parked_dumps)
+    updater = threading.Thread(target=catalog.update, args=("g", delta))
+    updater.start()
+    try:
+        assert parked.wait(30)
+        yield
+    finally:
+        release.set()
+        updater.join(30)
 
 
 class TestCatalogUpdate:
@@ -96,6 +124,44 @@ class TestCatalogUpdate:
             catalog.remove("g")
         with pytest.raises(CatalogError, match="unknown"):
             catalog.info("g")
+
+    def test_update_serialization_does_not_stall_engine_calls(
+        self, tmp_path, monkeypatch
+    ):
+        # A concurrent engine_ex() must resolve while the update is
+        # parked in its pickle: the pickle, the graph text and the
+        # checksums are staged before the catalog lock is taken.
+        data, _, _ = bipartite_world()
+        catalog = GraphCatalog(tmp_path)
+        catalog.add("g", data)
+        with parked_update(monkeypatch, catalog, GraphDelta(add_edges=((0, 3),))):
+            resolved = []
+            reader = threading.Thread(
+                target=lambda: resolved.append(catalog.engine_ex("g"))
+            )
+            reader.start()
+            reader.join(5)
+            assert resolved, "engine_ex() waited on the update's pickle"
+            _engine, source, epoch = resolved[0]
+            assert (source, epoch) == ("resident", 1)
+        assert catalog.info("g")["epoch"] == 2
+
+    def test_overwrite_during_staged_update_keeps_epochs_rising(
+        self, tmp_path, monkeypatch
+    ):
+        # The update staged its sidecar at epoch 2; an overwrite takes
+        # epoch 2 meanwhile, so the update must commit as epoch 3
+        # (last write wins, epochs never repeat) with a loadable store.
+        data, _, _ = bipartite_world()
+        catalog = GraphCatalog(tmp_path)
+        catalog.add("g", data)
+        other = graph_from_adjacency(["A", "B"], [(0, 1)])
+        with parked_update(monkeypatch, catalog, GraphDelta(add_edges=((0, 3),))):
+            assert catalog.add("g", other, overwrite=True)["epoch"] == 2
+        assert catalog.info("g")["epoch"] == 3
+        assert catalog.engine("g").data.num_edges == data.num_edges + 1
+        cold = GraphCatalog(tmp_path)
+        assert cold.engine_ex("g")[1:] == ("load", 3)
 
     def test_checksum_cached_on_graph_instance(self):
         data, _, _ = bipartite_world()

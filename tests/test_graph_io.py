@@ -1,10 +1,15 @@
 """Unit tests for .graph format I/O."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.io import (
     GraphFormatError,
+    encode_graph,
+    graph_checksum,
     graph_from_edge_list,
     load_graph,
     loads_graph,
@@ -89,6 +94,23 @@ class TestRoundTrip:
         g = loads_graph(SAMPLE)
         first = saves_graph(g).splitlines()[0]
         assert first == "t 3 2"
+
+    def test_saves_is_exact_and_encode_caches_checksum(self):
+        g = loads_graph(SAMPLE)
+        assert saves_graph(g) == SAMPLE
+        blob, digest = encode_graph(g)
+        assert blob == SAMPLE.encode("utf-8")
+        assert digest == hashlib.sha256(blob).hexdigest() == g._checksum
+        assert graph_checksum(g) == digest
+
+    def test_pickle_drops_the_text_cache(self):
+        # Procpool workers receive the data graph by pickle; the text
+        # chunks are a serialization cache and must not travel.
+        g = loads_graph(SAMPLE)
+        saves_graph(g)
+        clone = pickle.loads(pickle.dumps(g))
+        assert g._text is not None and clone._text is None
+        assert clone == g and saves_graph(clone) == SAMPLE
 
 
 class TestEdgeList:

@@ -9,7 +9,11 @@ base graph and asserts, after **every** step:
   cold ``DataArtifacts`` build on the new graph, with warm mask
   ladders answering exactly what a fresh instance computes;
 * the continuous matcher's cumulative diff stream replays to exactly
-  the full re-match embedding set.
+  the full re-match embedding set;
+* the spliced CSR arrays, label index and NLF rows equal the builder
+  rebuild field by field, the incrementally patched ``.graph`` text
+  equals a from-scratch serialization byte for byte, and a catalog
+  ``update`` writes exactly the files a from-scratch serializer would.
 
 The deterministic edge cases the ISSUE calls out — the empty delta and
 a delta that deletes the last edge of the only vertex carrying a label
@@ -17,17 +21,34 @@ a delta that deletes the last edge of the only vertex carrying a label
 explicit examples below the fuzz.
 """
 
+import hashlib
+import io
+import json
 import random
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service.catalog as catalog_module
 from repro.core.engine import GuPEngine
 from repro.dynamic.continuous import ContinuousMatcher
 from repro.dynamic.delta import GraphDelta, apply_delta
 from repro.filtering.artifacts import DataArtifacts, dumps_artifacts
 from repro.graph.builder import GraphBuilder, graph_from_adjacency
-from repro.graph.generators import erdos_renyi_graph, random_connected_graph
+from repro.graph.generators import (
+    erdos_renyi_graph,
+    powerlaw_cluster_graph,
+    random_connected_graph,
+)
+from repro.graph.io import graph_checksum, saves_graph
+from repro.service.catalog import (
+    ARTIFACTS_FILE,
+    GRAPH_FILE,
+    JOURNAL_FILE,
+    META_FILE,
+    GraphCatalog,
+)
 
 LABELS = ("A", "B", "C")
 
@@ -179,3 +200,154 @@ def test_delete_last_edges_of_a_labels_only_vertex():
     assert diffs["bc"].removed == [(1, 3)]
     assert diffs["bc"].added == []
     assert matcher.matches("bc") == []
+
+
+# ----------------------------------------------------------------------
+# Incremental CSR splice, graph text and catalog files
+# ----------------------------------------------------------------------
+
+
+def scratch_saves_graph(graph):
+    """The from-scratch ``.graph`` serializer the incremental text must
+    equal byte for byte (the format as first written: header, vertex
+    lines in id order, then every edge ``u < v`` in ``(u, v)`` order)."""
+    out = io.StringIO()
+    out.write(f"t {graph.num_vertices} {graph.num_edges}\n")
+    for v in graph.vertices():
+        out.write(f"v {v} {graph.label(v)} {graph.degree(v)}\n")
+    for u, v in graph.edges():
+        out.write(f"e {u} {v}\n")
+    return out.getvalue()
+
+
+def scratch_encode_graph(graph):
+    """``encode_graph`` built on :func:`scratch_saves_graph`, caching
+    nothing on the graph (the catalog oracle below runs on it)."""
+    blob = scratch_saves_graph(graph).encode("utf-8")
+    return blob, hashlib.sha256(blob).hexdigest()
+
+
+def strip_vertex_delta(rng, graph):
+    """Remove every edge of one non-isolated vertex (its last edge
+    included), and sometimes add a vertex wired to it."""
+    busy = [v for v in graph.vertices() if graph.degree(v) > 0]
+    if not busy:
+        return GraphDelta()
+    v = rng.choice(busy)
+    remove = tuple((min(v, w), max(v, w)) for w in graph.neighbors(v))
+    if rng.random() < 0.5:
+        return GraphDelta(remove_edges=remove)
+    new = graph.num_vertices
+    return GraphDelta(
+        add_vertices=(rng.choice(LABELS),),
+        add_edges=((v, new),),
+        remove_edges=remove,
+    )
+
+
+def assert_same_fields(graph, rebuilt):
+    assert graph._labels == rebuilt._labels
+    assert graph._offsets == rebuilt._offsets
+    assert graph._neighbors_flat == rebuilt._neighbors_flat
+    assert graph._neighbor_sets == rebuilt._neighbor_sets
+    assert graph._label_index == rebuilt._label_index
+    assert graph.num_edges == rebuilt.num_edges
+    assert [graph.neighbor_label_frequency(v) for v in graph.vertices()] == [
+        rebuilt.neighbor_label_frequency(v) for v in rebuilt.vertices()
+    ]
+
+
+EDIT_KINDS = st.lists(
+    st.sampled_from(("random", "strip")), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**30),
+    nd=st.integers(min_value=2, max_value=12),
+    edge_factor=st.floats(min_value=0.0, max_value=2.0),
+    kinds=EDIT_KINDS,
+)
+def test_spliced_graph_and_patched_text_equal_from_scratch(
+    seed, nd, edge_factor, kinds
+):
+    rng = random.Random(seed)
+    graph = erdos_renyi_graph(
+        nd, int(nd * edge_factor), num_labels=len(LABELS), seed=seed
+    )
+    saves_graph(graph)  # materialize the text so every step patches it
+    graph.neighbor_label_frequency(0)  # and the NLF cache
+    with tempfile.TemporaryDirectory() as root:
+        catalog = GraphCatalog(root)
+        catalog.add("g", graph)
+        for kind in kinds:
+            if kind == "strip":
+                delta = strip_vertex_delta(rng, graph)
+            else:
+                delta = random_delta(rng, graph)
+            new_graph, _ = apply_delta(graph, delta)
+            rebuilt = builder_rebuild(graph, delta)
+            assert_same_fields(new_graph, rebuilt)
+            assert new_graph._text is not None  # patched, not re-formatted
+            assert saves_graph(new_graph) == scratch_saves_graph(rebuilt)
+
+            catalog.update("g", delta)
+            served = catalog.engine("g").data
+            assert served == rebuilt
+            meta = json.loads(
+                (catalog.root / "g" / META_FILE).read_text(encoding="utf-8")
+            )
+            expected = scratch_encode_graph(rebuilt)[1]
+            assert graph_checksum(served) == expected
+            assert meta["graph_file_sha256"] == expected
+            assert meta["graph_checksum"] == expected
+            graph = new_graph
+
+
+def entry_files(catalog):
+    directory = catalog.root / "g"
+    assert not (directory / JOURNAL_FILE).exists()
+    return {
+        name: (directory / name).read_bytes()
+        for name in (GRAPH_FILE, ARTIFACTS_FILE, META_FILE)
+    }
+
+
+def test_catalog_files_identical_to_from_scratch_serializer(monkeypatch):
+    # Two catalogs take the same edit sequence: one on the shipped code
+    # (text patched per touched vertex, each file hashed once, staged
+    # outside the lock), one whose graph encoding is the from-scratch
+    # serializer.  Their three files must agree byte for byte each step.
+    rng = random.Random(11)
+    data = powerlaw_cluster_graph(60, 3, 0.3, num_labels=len(LABELS), seed=11)
+    with tempfile.TemporaryDirectory() as new_root, \
+            tempfile.TemporaryDirectory() as oracle_root:
+        shipped = GraphCatalog(new_root)
+        oracle = GraphCatalog(oracle_root)
+        shipped.add("g", data)
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog_module, "encode_graph", scratch_encode_graph)
+            # Its own instance: ``data`` now carries the shipped text cache.
+            oracle.add("g", builder_rebuild(data, GraphDelta()))
+        assert entry_files(shipped) == entry_files(oracle)
+        graph = data
+        for step in range(12):
+            if step % 3 == 2:
+                delta = strip_vertex_delta(rng, graph)
+            else:
+                delta = random_delta(rng, graph, allow_empty=False)
+            shipped.update("g", delta)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    catalog_module, "encode_graph", scratch_encode_graph
+                )
+                oracle.update("g", delta)
+            assert oracle.engine("g").data._text is None  # truly from scratch
+            files = entry_files(shipped)
+            assert files == entry_files(oracle)
+            graph = shipped.engine("g").data
+            assert files[GRAPH_FILE].decode("utf-8") == scratch_saves_graph(
+                graph
+            )
+            assert json.loads(files[META_FILE])["epoch"] == step + 2
